@@ -37,15 +37,15 @@ shuffle:
 sweep:
 	go test -tags slowtest -count=1 -run '^TestKernelEquivalenceSweepFull$$' ./internal/core
 
-# Short fuzzing pass over every untrusted-input decoder: the netlist
-# loader, the candidate store, and the two service request decoders.
+# Short fuzzing pass over every untrusted-input decoder: the candidate
+# store, the two service request decoders, and the canonical hash, plus
+# the kernel differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
 # crasher fails the target. Regexes are anchored because ./api hosts two
 # fuzz functions and `go test -fuzz` demands a unique match.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
-	go test -run xxx -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/netlist
 	go test -run xxx -fuzz '^FuzzStoreInsert$$' -fuzztime $(FUZZTIME) ./internal/candidate
 	go test -run xxx -fuzz '^FuzzDecodeRouteRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzDecodePlanRequest$$' -fuzztime $(FUZZTIME) ./api
@@ -115,12 +115,22 @@ bench-check:
 	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
-# End-to-end observability demo: route the SoC25mm batch with the live
-# /metrics + pprof server and a JSONL trace of every search and net span.
+# End-to-end observability demo: serve routed with the live /metrics +
+# pprof server and a JSONL span trace, POST the starter plan request,
+# show the Prometheus exposition and the first trace lines, then stop the
+# server.
 obs-demo:
-	go run ./cmd/planner -workers 4 -metrics-addr 127.0.0.1:9090 -trace obs-trace.jsonl
-	@echo "--- first trace lines ---"
-	@head -n 5 obs-trace.jsonl
+	@bin=$$(mktemp -d); go build -o $$bin/routed ./cmd/routed || exit 1; \
+	$$bin/routed -addr 127.0.0.1:18090 -metrics-addr 127.0.0.1:19090 -trace obs-trace.jsonl & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $$bin' EXIT; \
+	for i in $$(seq 50); do curl -sf 127.0.0.1:18090/healthz >/dev/null && break; sleep 0.1; done; \
+	echo "--- POST /v1/plan cmd/routed/testdata/plan.json ---"; \
+	curl -sSf 127.0.0.1:18090/v1/plan -H 'Content-Type: application/json' \
+		--data-binary @cmd/routed/testdata/plan.json | head -c 400; echo; \
+	echo "--- /metrics ---"; \
+	curl -sSf 127.0.0.1:19090/metrics | grep -E '^clockroute_(requests|searches|configs|nets_done|request_latency_ms_count)'; \
+	echo "--- first trace lines ---"; \
+	head -n 5 obs-trace.jsonl
 
 # Regenerate the paper tables at reduced scale.
 tables:

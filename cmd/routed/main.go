@@ -3,6 +3,12 @@
 // batch of nets through the parallel planner, and GET /healthz reports
 // admission state. The wire format is documented in the api package.
 //
+// The route and plan subcommands answer one request file in-process,
+// through the same handler and without a listener: the response body goes
+// to stdout (exit 0), a rejected request's error to stderr (exit 2, or 1
+// for any other failure). They take no flags; timeout_ms and workers ride
+// in the request itself. cmd/routed/testdata holds starter requests.
+//
 // Usage:
 //
 //	routed -addr :8080
@@ -12,6 +18,8 @@
 //	routed -addr :8080 -backends http://w1:8080,http://w2:8080,http://w3:8080
 //	routed cache stats|snapshot|load -addr 127.0.0.1:8080
 //	routed cache diff old-dir new-dir
+//	routed route route.json     # an api.RouteRequest; "-" reads stdin
+//	routed plan plan.json       # an api.PlanRequest
 //
 // With -backends, the process runs as a sharding coordinator: streamed
 // /v1/plan requests are distributed across the listed workers by
@@ -53,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"clockroute/internal/cliutil"
 	"clockroute/internal/coordinator"
 	"clockroute/internal/faultpoint"
 	"clockroute/internal/server"
@@ -63,8 +70,14 @@ import (
 func main() {
 	// Admin subcommands run against an already-listening server:
 	// routed cache <stats|snapshot|load|diff> [-addr host:port]
-	if len(os.Args) > 1 && os.Args[1] == "cache" {
-		os.Exit(runCacheCmd(os.Args[2:]))
+	// route and plan answer one request file in-process.
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "cache":
+			os.Exit(runCacheCmd(os.Args[2:]))
+		case "route", "plan":
+			os.Exit(runRequestCmd(os.Args[1], os.Args[2:], os.Stdin, os.Stdout, os.Stderr))
+		}
 	}
 
 	var (
@@ -100,14 +113,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	var v cliutil.Validator
+	var v Validator
 	v.NonNegativeInt("max-inflight", *maxInflight)
 	v.NonNegativeInt("max-queue", *maxQueue)
 	v.NonNegativeInt("workers", *workers)
 	v.NonNegativeDuration("request-timeout", *reqTimeout)
 	v.NonNegativeDuration("max-timeout", *maxTimeout)
 	v.NonNegativeDuration("drain-timeout", *drainTimeout)
-	v.NonNegativeInt("cache-mb", int(*cacheMB))
+	cacheBytes := v.MiB("cache-mb", *cacheMB)
 	v.NonNegativeInt("slow-ms", *slowMS)
 	v.NonNegativeInt("backend-inflight", *beInflight)
 	v.NonNegativeInt("circuit-failures", *circFails)
@@ -126,9 +139,9 @@ func main() {
 		log.Warn("fault injection armed", "points", faultpoint.List())
 	}
 
-	// Observability wiring mirrors cmd/planner: the process-wide metrics
-	// registry always aggregates; -trace tees every span to JSONL; with
-	// -metrics-addr the live endpoints come up beside the service.
+	// Observability wiring: the process-wide metrics registry always
+	// aggregates; -trace tees every span to JSONL; with -metrics-addr the
+	// live endpoints come up beside the service.
 	var extra []telemetry.Sink
 	var jsonl *telemetry.JSONL
 	if *traceFile != "" {
@@ -180,7 +193,7 @@ func main() {
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxWorkers:     *workers,
-		CacheMaxBytes:  *cacheMB << 20,
+		CacheMaxBytes:  cacheBytes,
 		CacheDir:       *cacheDir,
 		Metrics:        telemetry.Default(),
 		Sink:           telemetry.Multi(extra...),

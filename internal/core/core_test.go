@@ -42,7 +42,7 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem(g, wrongPitch, 0, 5); err == nil {
 		t.Error("pitch mismatch should fail")
 	}
-	blocked := g.Clone()
+	blocked := grid.MustNew(10, 10, 0.5)
 	blocked.AddObstacle(geom.R(0, 0, 1, 1))
 	if _, err := NewProblem(blocked, m, 0, 5); err == nil {
 		t.Error("source on obstacle should fail")

@@ -35,8 +35,8 @@ func (k Kind) String() string {
 }
 
 // ParseKind resolves an algorithm name ("fastpath", "rbp", "gals") back to
-// its Kind — the inverse of Kind.String, shared by the service's JSON
-// decoder and any CLI that selects the algorithm by name.
+// its Kind — the inverse of Kind.String, used by the service's JSON
+// decoder and request builder.
 func ParseKind(s string) (Kind, error) {
 	for k := KindFastPath; k <= KindGALS; k++ {
 		if k.String() == s {

@@ -30,9 +30,7 @@ import (
 //
 // Lifetime: a ShareCache is bound to one immutable grid. Every lookup
 // verifies grid identity and degrades to a miss-and-no-store on mismatch,
-// so accidentally reusing a cache across grids is slow, not wrong. Plans
-// that mutate the grid between nets (PlanNetsExclusive) must not install
-// one.
+// so accidentally reusing a cache across grids is slow, not wrong.
 type ShareCache struct {
 	g *grid.Grid
 

@@ -18,7 +18,7 @@
 // FAULTPOINTS environment variable, read at process start:
 //
 //	FAULTPOINTS=arena.grow=panic routed -addr :8080
-//	FAULTPOINTS='core.wave_push=panic@1000,sink.write=delay:5ms' planner
+//	FAULTPOINTS=core.wave_push=panic@1000 routed plan plan.json
 //
 // The spec grammar is a comma-separated list of name=mode[:arg][@hit]
 // terms:

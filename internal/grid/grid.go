@@ -225,17 +225,6 @@ func (g *Grid) CutEdge(u int, d Dir) {
 	g.cut[g.ID(q)] |= 1 << uint(opposite[d])
 }
 
-// Clone returns a deep copy of g.
-func (g *Grid) Clone() *Grid {
-	out := &Grid{
-		w: g.w, h: g.h, pitchMM: g.pitchMM,
-		obstacle:   append([]bool(nil), g.obstacle...),
-		regBlocked: append([]bool(nil), g.regBlocked...),
-		cut:        append([]uint8(nil), g.cut...),
-	}
-	return out
-}
-
 // BFS returns the edge-count distance from src to every node, or -1 where
 // unreachable. It respects wiring blockages but not obstacles (obstacles
 // allow through-routing).

@@ -225,23 +225,6 @@ func TestBFSDistancesMatchManhattanOnOpenGrid(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := MustNew(5, 5, 1)
-	g.AddObstacle(geom.R(0, 0, 2, 2))
-	c := g.Clone()
-	c.AddObstacle(geom.R(3, 3, 5, 5))
-	c.CutEdge(c.ID(geom.Pt(2, 2)), East)
-	if !g.Insertable(g.ID(geom.Pt(4, 4))) {
-		t.Error("mutating clone leaked obstacle into original")
-	}
-	if !g.HasEdge(g.ID(geom.Pt(2, 2)), East) {
-		t.Error("mutating clone leaked edge cut into original")
-	}
-	if c.Insertable(c.ID(geom.Pt(1, 1))) {
-		t.Error("clone lost original obstacle")
-	}
-}
-
 // Property: neighbor relation is symmetric under arbitrary random edge cuts.
 func TestNeighborSymmetryUnderRandomCuts(t *testing.T) {
 	f := func(seed int64) bool {

@@ -18,7 +18,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"clockroute/internal/candidate"
 	"clockroute/internal/core"
 	"clockroute/internal/elmore"
 	"clockroute/internal/engine"
@@ -232,7 +231,7 @@ func New(fp *floorplan.Floorplan, tc *tech.Tech, opts core.Options) (*Planner, e
 }
 
 // NewFromGrid builds a planner over an already-materialized grid (e.g. one
-// loaded from a netlist instance file) instead of a floorplan. NetBetween
+// built from an api.GridSpec) instead of a floorplan. NetBetween
 // is unavailable without a floorplan; use explicit NetSpec coordinates.
 func NewFromGrid(g *grid.Grid, tc *tech.Tech, opts core.Options) (*Planner, error) {
 	if g == nil {
@@ -421,8 +420,8 @@ func (pl *Planner) routeNetAtWidth(ctx context.Context, spec NetSpec, width floa
 // are recorded in the results, not returned: planning a chip with one
 // unroutable net still reports the other nets. Nets are routed
 // independently on the shared grid (the paper's single-net formulation);
-// see PlanNetsExclusive for congestion-aware planning and RunParallel for
-// the concurrent batch engine. PlanNets is RunParallel with one worker.
+// see RunParallel for the concurrent batch engine. PlanNets is RunParallel
+// with one worker.
 func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 	return pl.RunParallel(context.Background(), 1, specs)
 }
@@ -455,8 +454,7 @@ func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec
 	// flow between nets) and whole-result memoization for canonically equal
 	// specs. Both are plan-scoped, so nothing leaks between requests, and
 	// both preserve byte-identical results; Options.DisableSharing turns
-	// them off. PlanNetsExclusive never comes through here — it mutates its
-	// grid between nets, which invalidates every premise of the cache.
+	// them off.
 	bs := newBatchState(pl.g, opts)
 	if bs != nil {
 		opts.Share = bs.share
@@ -532,32 +530,6 @@ func (pl *Planner) routeNetTraced(ctx context.Context, spec NetSpec, opts core.O
 	return res
 }
 
-// PlanNetsExclusive routes the nets in order on a private copy of the grid,
-// reserving each successful route's resources before the next net runs:
-// its grid edges become unavailable (the tracks are taken) and its element
-// sites become obstacles. Later nets therefore detour around earlier ones —
-// a simple sequential congestion model. Net ordering matters (callers
-// typically sort by criticality), so this path is inherently serial.
-func (pl *Planner) PlanNetsExclusive(specs []NetSpec) (*Plan, error) {
-	if err := validateSpecs(specs); err != nil {
-		return nil, err
-	}
-	work := &Planner{fp: pl.fp, g: pl.g.Clone(), m: pl.m, tc: pl.tc, opts: pl.opts}
-	start := time.Now()
-	plan := &Plan{Floorplan: work.fp, Grid: work.g, Model: work.m}
-	plan.Stats.Workers = 1
-	for _, s := range specs {
-		res := work.RouteNet(s)
-		plan.Nets = append(plan.Nets, res)
-		plan.Stats.add(&res)
-		if res.Err == nil {
-			reserve(work.g, res.Path)
-		}
-	}
-	plan.Stats.Elapsed = time.Since(start)
-	return plan, nil
-}
-
 // validateSpecs rejects structurally bad net lists before any routing runs.
 func validateSpecs(specs []NetSpec) error {
 	if len(specs) == 0 {
@@ -574,26 +546,6 @@ func validateSpecs(specs []NetSpec) error {
 		seen[s.Name] = true
 	}
 	return nil
-}
-
-// reserve removes a routed path's resources from g: every edge the path
-// uses is cut, and every node carrying an inserted element (or an endpoint
-// register) becomes an obstacle.
-func reserve(g *grid.Grid, p *route.Path) {
-	for i := 1; i < len(p.Nodes); i++ {
-		u, v := p.Nodes[i-1], p.Nodes[i]
-		for d := grid.East; d <= grid.South; d++ {
-			if nb, ok := g.Neighbor(u, d); ok && nb == v {
-				g.CutEdge(u, d)
-			}
-		}
-	}
-	for i, gate := range p.Gates {
-		if gate != candidate.GateNone {
-			pt := g.At(p.Nodes[i])
-			g.AddObstacle(geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X + 1, MaxY: pt.Y + 1})
-		}
-	}
 }
 
 // AllAborted returns a representative abort error when every net of the

@@ -204,82 +204,6 @@ func TestPlanReportsPartialFailure(t *testing.T) {
 	}
 }
 
-func TestPlanNetsExclusiveForcesDetours(t *testing.T) {
-	pl, _ := testPlanner(t)
-	// Two identical nets: independent planning may give both the same
-	// resources; exclusive planning must give the second net different
-	// edges (or fail), and must not mutate the shared base grid.
-	specs := []NetSpec{
-		{Name: "a", Src: geom.Pt(0, 0), Dst: geom.Pt(12, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
-		{Name: "b", Src: geom.Pt(0, 0), Dst: geom.Pt(12, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
-	}
-	// Endpoints are shared, which exclusive planning blocks after net "a"
-	// (its port registers occupy the sites), so use distinct endpoints.
-	specs[1].Src, specs[1].Dst = geom.Pt(0, 1), geom.Pt(12, 1)
-
-	indep, err := pl.PlanNets(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	excl, err := pl.PlanNetsExclusive(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(excl.Failed()) != 0 {
-		t.Fatalf("exclusive failures: %+v", excl.Failed())
-	}
-
-	// Net b's exclusive route must not reuse any edge of net a's route.
-	edgeSet := map[[2]int]bool{}
-	a := excl.Nets[0].Path
-	for i := 1; i < len(a.Nodes); i++ {
-		u, v := a.Nodes[i-1], a.Nodes[i]
-		edgeSet[[2]int{u, v}] = true
-		edgeSet[[2]int{v, u}] = true
-	}
-	b := excl.Nets[1].Path
-	for i := 1; i < len(b.Nodes); i++ {
-		if edgeSet[[2]int{b.Nodes[i-1], b.Nodes[i]}] {
-			t.Fatalf("exclusive plan shares an edge between nets")
-		}
-	}
-
-	// Exclusive planning can only lengthen routes.
-	if excl.TotalWireMM() < indep.TotalWireMM()-1e-9 {
-		t.Errorf("exclusive wire %g < independent %g", excl.TotalWireMM(), indep.TotalWireMM())
-	}
-
-	// The base grid must be untouched: re-planning independently still works
-	// identically.
-	again, err := pl.PlanNets(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Nets[0].LatencyPS != indep.Nets[0].LatencyPS {
-		t.Error("exclusive planning mutated the shared grid")
-	}
-}
-
-func TestPlanNetsExclusiveReportsBlockedNet(t *testing.T) {
-	pl, _ := testPlanner(t)
-	// Saturate a narrow corridor: wall off all rows except 0 and 1 near the
-	// start, then route two nets through; the second may detour or fail,
-	// but the plan call itself must succeed and stay consistent.
-	specs := []NetSpec{
-		{Name: "first", Src: geom.Pt(0, 0), Dst: geom.Pt(20, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
-		{Name: "second", Src: geom.Pt(0, 0), Dst: geom.Pt(20, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
-	}
-	plan, err := pl.PlanNetsExclusive(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The second net shares the first's endpoints, which became obstacles:
-	// it must fail rather than silently share.
-	if plan.Nets[1].Err == nil {
-		t.Error("second net reusing reserved endpoints should fail")
-	}
-}
-
 func TestWireWidthSelection(t *testing.T) {
 	pl, _ := testPlanner(t)
 	long := NetSpec{

@@ -157,21 +157,21 @@ func TestCheckStructure(t *testing.T) {
 	}
 
 	// Path through a cut edge.
-	g2 := g.Clone()
+	g2 := grid.MustNew(20, 5, 0.125)
 	g2.AddWiringBlockage(geom.R(5, 2, 6, 3))
 	if err := good.CheckStructure(g2); err == nil {
 		t.Error("path across wiring blockage must be rejected")
 	}
 
 	// Gate on a physical obstacle.
-	g3 := g.Clone()
+	g3 := grid.MustNew(20, 5, 0.125)
 	g3.AddObstacle(geom.R(5, 2, 6, 3))
 	if err := good.CheckStructure(g3); err == nil || !strings.Contains(err.Error(), "blocked node") {
 		t.Errorf("obstacle err = %v", err)
 	}
 
 	// Register on a register blockage; buffers stay fine.
-	g4 := g.Clone()
+	g4 := grid.MustNew(20, 5, 0.125)
 	g4.AddRegisterBlockage(geom.R(5, 2, 6, 3))
 	if err := good.CheckStructure(g4); err == nil {
 		t.Error("register on register blockage must be rejected")
