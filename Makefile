@@ -1,10 +1,11 @@
 # Tier-1 gate: everything must build, vet clean, pass the full test
 # suite under the race detector (the parallel planner engine and the
-# telemetry sinks make -race load-bearing, not optional), and survive a
-# short fuzzing pass over every decoder that accepts untrusted bytes.
+# telemetry sinks make -race load-bearing, not optional), pass the full
+# bounded == unbounded kernel-equivalence sweep, and survive a short
+# fuzzing pass over every decoder that accepts untrusted bytes.
 .PHONY: tier1 build vet lint test race shuffle sweep fuzz-smoke chaos cluster-drill bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
 
-tier1: build lint race shuffle chaos cluster-drill fuzz-smoke
+tier1: build lint race shuffle sweep chaos cluster-drill fuzz-smoke
 
 build:
 	go build ./...
@@ -32,8 +33,10 @@ shuffle:
 	go test -shuffle=on -count=1 ./...
 
 # Full kernel-equivalence regression gate: >=500 seeded mixed-size
-# instances, every kernel, admissible bounds on vs off, byte-for-byte.
-# Tier-1 runs the reduced 60-instance stream; this is the deep sweep.
+# instances plus 100 block-heavy ones (IP blocks wider than a segment's
+# reach), every kernel, admissible bounds on vs off, byte-for-byte, and
+# every path-DP incumbent checked against the exact optimum. The plain
+# test pass runs a reduced stream; tier1 runs this deep sweep too.
 sweep:
 	go test -tags slowtest -count=1 -run '^TestKernelEquivalenceSweepFull$$' ./internal/core
 

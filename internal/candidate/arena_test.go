@@ -142,3 +142,67 @@ func TestForEachLiveMatchesFrontierWithoutAllocating(t *testing.T) {
 		t.Errorf("ForEachLive visited %d candidates from a stale epoch", n)
 	}
 }
+
+func TestArenaDropReclaimsLastSlotOnly(t *testing.T) {
+	var a Arena
+	first := a.New(Candidate{Node: 1})
+	second := a.New(Candidate{Node: 2})
+	a.Drop(first) // not the newest slot: no-op
+	if a.Len() != 2 {
+		t.Fatalf("Drop of an older slot changed Len to %d, want 2", a.Len())
+	}
+	a.Drop(second)
+	if a.Len() != 1 {
+		t.Fatalf("Len after Drop = %d, want 1", a.Len())
+	}
+	a.Drop(second) // already dropped: no longer the newest, no-op
+	if a.Len() != 1 {
+		t.Fatalf("second Drop changed Len to %d, want 1", a.Len())
+	}
+	if again := a.New(Candidate{Node: 3}); again != second || again.Node != 3 {
+		t.Fatalf("New after Drop = %p (%+v), want the reclaimed slot %p", again, again, second)
+	}
+	if first.Node != 1 {
+		t.Fatalf("Drop corrupted an older slot: %+v", first)
+	}
+	a.Drop(&Candidate{}) // foreign pointer: no-op
+	if a.Len() != 2 {
+		t.Fatalf("Drop of a foreign candidate changed Len to %d, want 2", a.Len())
+	}
+}
+
+func TestArenaDropAcrossBlockBoundary(t *testing.T) {
+	var a Arena
+	for i := 0; i < arenaBlock; i++ {
+		a.New(Candidate{Node: int32(i)})
+	}
+	// The first slot of the second block is reclaimed and reused in place.
+	spill := a.New(Candidate{Node: -1})
+	a.Drop(spill)
+	if a.Len() != arenaBlock {
+		t.Fatalf("Len after dropping the spill slot = %d, want %d", a.Len(), arenaBlock)
+	}
+	if again := a.New(Candidate{Node: -2}); again != spill {
+		t.Fatalf("New after Drop = %p, want the reclaimed second-block slot %p", again, spill)
+	}
+	if a.Len() != arenaBlock+1 {
+		t.Fatalf("Len = %d, want %d", a.Len(), arenaBlock+1)
+	}
+	// The last slot of a full first block is reclaimed before the arena
+	// moves on, and reused by the next New.
+	var b Arena
+	var lastOfBlock *Candidate
+	for i := 0; i < arenaBlock; i++ {
+		lastOfBlock = b.New(Candidate{Node: int32(i)})
+	}
+	b.Drop(lastOfBlock)
+	if b.Len() != arenaBlock-1 {
+		t.Fatalf("Len after dropping the block's last slot = %d, want %d", b.Len(), arenaBlock-1)
+	}
+	if again := b.New(Candidate{Node: 7}); again != lastOfBlock {
+		t.Fatalf("New after Drop = %p, want %p", again, lastOfBlock)
+	}
+	if next := b.New(Candidate{Node: 8}); next == lastOfBlock || b.Len() != arenaBlock+1 {
+		t.Fatalf("arena did not move to a fresh block after refilling: Len %d", b.Len())
+	}
+}

@@ -121,6 +121,17 @@ func (a *Arena) New(c Candidate) *Candidate {
 	return p
 }
 
+// Drop hands c's slot back when c is the most recent New: the search loops
+// allocate a successor before deciding whether it survives, and a
+// candidate rejected before anything referenced it (no store entry, no
+// heap slot, no children) is dead memory. Any other c is left alone, so a
+// stale Drop is a no-op rather than a corruption.
+func (a *Arena) Drop(c *Candidate) {
+	if a.used > 0 && c == &a.blocks[a.cur][a.used-1] {
+		a.used--
+	}
+}
+
 // Len returns the number of live candidates handed out since the last
 // Reset (diagnostics).
 func (a *Arena) Len() int {

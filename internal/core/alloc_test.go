@@ -81,13 +81,15 @@ func TestSearchAllocBudgets(t *testing.T) {
 
 // TestBoundsPrecomputeAllocBudget pins the steady-state cost of the
 // admissible-bound machinery itself: once a pooled Scratch has sized its
-// BFS distance fields, probe state, and remainder-table slabs on a grid,
-// re-preparing bounds for the same problem shape must allocate nothing.
+// BFS distance fields, probe state, remainder-table slabs and path-search
+// worklists on a grid, re-preparing bounds and path incumbents for the
+// same problem shape must allocate nothing.
 func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime randomizes sync.Pool retention; alloc budgets are asserted without -race")
 	}
 	p := allocProblem(t)
+	bp := blockedProblem(t) // the incumbent layer also searches gap paths
 	sc := new(Scratch)
 	warm := func() {
 		bd := sc.PrepBounds(p)
@@ -96,6 +98,14 @@ func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 		}
 		if u, ok := bd.pathMinDelay(p); ok {
 			bd.remTable(p.Model, u)
+		}
+		bd = sc.PrepBounds(bp)
+		if _, ok := bd.pathMinRegs(bp, 400, bd.rbpReach(nil, bp, 400)); !ok {
+			t.Fatal("no RBP path incumbent on the blocked problem")
+		}
+		reachS, reachT := bd.galsReaches(nil, bp, 350, 450)
+		if _, ok := bd.pathMinLat(bp, 350, 450, reachS, reachT); !ok {
+			t.Fatal("no GALS path incumbent on the blocked problem")
 		}
 	}
 	warm()

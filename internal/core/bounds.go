@@ -26,8 +26,11 @@ import (
 //     latency (GALS, latch) any completion must still pay.
 //  3. An incumbent: a feasible solution cost U obtained cheaply before the
 //     main search, against which the lower bounds prune. The primary probe
-//     runs the exact segment DP along one BFS shortest path (microseconds);
-//     when that path admits no feasible labeling — blockages, infeasible
+//     runs the exact segment DP along a small fixed set of paths
+//     (microseconds each): one BFS shortest path and, when that path crosses
+//     a span with no register site, a few insertion-aware shortest paths on
+//     which no more than G consecutive edges pass without one (gapPath).
+//     When no path admits a feasible labeling — blockages, infeasible
 //     period — a bounded search-window probe (the same kernel restricted to
 //     a corridor of near-shortest paths, on a small config budget) tries to
 //     find one. If neither yields an incumbent the search falls back to the
@@ -81,17 +84,26 @@ type Bounds struct {
 	ownSink  []int32 // pooled storage behind distSink on uncached runs
 	queue    []int32 // BFS worklist, reused by both passes
 
-	// Segment-DP buffers (segmentReach, pathMinRegs, pathMinDelay).
+	// Segment-DP buffers (segmentReach, regsAlongPath, latAlongPath,
+	// pathMinDelay).
 	fa, fb []segState
-	path   []int32   // one BFS shortest path, sink first
-	seedsA []int32   // pathMinRegs wave seed positions (current wave)
-	seedsB []int32   // pathMinRegs wave seed positions (next wave)
-	fifoK  []int32   // pathMinLat: fewest sink-side registers per FIFO site
+	path   []int32   // the incumbent path under evaluation, sink first
+	seedsA []int32   // wave seed positions (current wave)
+	seedsB []int32   // wave seed positions (next wave)
+	fifoK  []int32   // latAlongPath: fewest sink-side registers per FIFO site
 	rem    []float64 // remTable: remaining-delay lower bound by distance
+
+	// Insertion-aware path search (gapPath).
+	gapBest []int32    // smallest gap each node was reached with; -1 = on the path
+	gapQ    []gapState // BFS worklist, doubling as the parent links
 }
 
 // segState is one Pareto point of the segment DP.
 type segState struct{ c, d float64 }
+
+// gapState is one (node, gap) state of gapPath's BFS; parent indexes the
+// worklist entry it was reached from (-1 at the origin).
+type gapState struct{ node, gap, parent int32 }
 
 // PrepBounds computes the BFS distance fields for p on s's pooled bounds
 // memory and returns them. Steady state this allocates nothing: the int32
@@ -278,18 +290,159 @@ func (b *Bounds) shortestPath(p *Problem) bool {
 	return true
 }
 
-// pathMinRegs runs RBP's exact segment DP along one BFS shortest path and
-// returns the minimum register count of a feasible labeling of that path,
-// or ok=false when the path admits none (blocked insertion sites or an
-// infeasible period). Every labeling the DP accepts is a real solution the
-// kernel can reach — gates only at insertable interior nodes, at most one
-// per node, every segment closed by a register within T, every
+// pathMaxGap returns the longest run of consecutive edges on b.path with no
+// register site between them. The endpoints count as sites: they hold the
+// port registers.
+func (b *Bounds) pathMaxGap(p *Problem) int {
+	last := len(b.path) - 1
+	maxGap, run := 0, 0
+	for pos := 1; pos <= last; pos++ {
+		run++
+		if pos == last || p.Grid.RegisterInsertable(int(b.path[pos])) {
+			maxGap = max(maxGap, run)
+			run = 0
+		}
+	}
+	return maxGap
+}
+
+// incumbentGaps lists the gap budgets G for which pathMinRegs and
+// pathMinLat evaluate an insertion-aware path besides the BFS one: a few
+// small fixed budgets, which force frequent register sites, plus each
+// domain's segment reach, the loosest budget a labeling can meet. Budgets
+// the BFS path already meets (G ≥ maxGap) would only return another path
+// of the same length, and budgets above both reaches allow site-free runs
+// no segment can span, so both are skipped — on an open die, whose BFS
+// path has a site at every node, the list is empty and the extra paths
+// cost nothing.
+func incumbentGaps(maxGap, reachA, reachB int) ([5]int, int) {
+	var out [5]int
+	n := 0
+	limit := min(maxGap-1, max(reachA, reachB))
+	for _, G := range [...]int{4, 6, 8, reachA, reachB} {
+		if G < 1 || G > limit {
+			continue
+		}
+		dup := false
+		for _, o := range out[:n] {
+			dup = dup || o == G
+		}
+		if !dup {
+			out[n] = G
+			n++
+		}
+	}
+	return out, n
+}
+
+// gapPath fills b.path (sink first) with a shortest source-sink path on
+// which no more than G consecutive edges pass without a register site
+// (RegisterInsertable interior nodes; the endpoints count as sites). This
+// is the buffered-routing constraint of Albrecht et al.: a path is only
+// usable if insertion sites occur within the maximum span between them,
+// and a BFS shortest path that runs straight over an IP block wider than a
+// segment's reach violates it.
+//
+// The search is a BFS over (node, gap) states, gap being the edges since
+// the last site. BFS pops states in distance order, so a state is
+// dominated by any earlier visit of its node with a gap no larger: each
+// node re-enters the worklist only when its gap strictly improves, at most
+// G+1 times. Returns false when no such path exists, and when the shortest
+// one revisits a node — the segment DPs assume a simple path (one register
+// per node per domain, one FIFO per node, as the kernels mark).
+func (b *Bounds) gapPath(p *Problem, G int) bool {
+	g := p.Grid
+	best := grow(b.gapBest, g.NumNodes())
+	for i := range best {
+		best[i] = math.MaxInt32
+	}
+	b.gapBest = best
+	best[p.Source] = 0
+	q := append(b.gapQ[:0], gapState{int32(p.Source), 0, -1})
+	goal := -1
+	for head := 0; head < len(q) && goal < 0; head++ {
+		s := q[head]
+		gap := s.gap + 1
+		if int(gap) > G {
+			continue
+		}
+		for d := grid.East; d <= grid.South; d++ {
+			v, ok := g.Neighbor(int(s.node), d)
+			if !ok {
+				continue
+			}
+			if v == p.Sink {
+				goal = len(q)
+				q = append(q, gapState{int32(v), 0, int32(head)})
+				break
+			}
+			gv := gap
+			if g.RegisterInsertable(v) {
+				gv = 0
+			}
+			if gv >= best[v] {
+				continue
+			}
+			best[v] = gv
+			q = append(q, gapState{int32(v), gv, int32(head)})
+		}
+	}
+	b.gapQ = q[:0]
+	if goal < 0 {
+		return false
+	}
+	// Walk the parent links from the sink back to the source, marking each
+	// node -1 (BFS left every entry ≥ 0) to detect a revisit.
+	b.path = b.path[:0]
+	for i := int32(goal); i >= 0; i = q[i].parent {
+		v := q[i].node
+		if best[v] == -1 {
+			return false
+		}
+		best[v] = -1
+		b.path = append(b.path, v)
+	}
+	return true
+}
+
+// forIncumbentPaths loads each path of the incumbent path set into b.path
+// in turn and calls eval on it: the BFS shortest path, then, when that
+// path crosses a span with no register site, the insertion-aware path of
+// each budget incumbentGaps lists for the segment reaches reachA/reachB.
+func (b *Bounds) forIncumbentPaths(p *Problem, reachA, reachB int, eval func()) {
+	if !b.shortestPath(p) {
+		return
+	}
+	eval()
+	gaps, n := incumbentGaps(b.pathMaxGap(p), reachA, reachB)
+	for _, G := range gaps[:n] {
+		if b.gapPath(p, G) {
+			eval()
+		}
+	}
+}
+
+// pathMinRegs returns the fewest registers of a feasible RBP labeling over
+// the incumbent path set, or ok=false when no path admits one. reach is
+// the period's segment reach.
+func (b *Bounds) pathMinRegs(p *Problem, T float64, reach int) (best int, ok bool) {
+	b.forIncumbentPaths(p, reach, reach, func() {
+		if w, wok := b.regsAlongPath(p, T); wok && (!ok || w < best) {
+			best, ok = w, true
+		}
+	})
+	return best, ok
+}
+
+// regsAlongPath runs RBP's exact segment DP along b.path and returns the
+// minimum register count of a feasible labeling of that path, or ok=false
+// when the path admits none (blocked insertion sites or an infeasible
+// period). Every labeling the DP accepts is a real solution the kernel can
+// reach — gates only at insertable interior nodes, at most one per node
+// (b.path is simple), every segment closed by a register within T, every
 // intermediate state passing the kernel's own lookahead — so the returned
 // count is a sound incumbent for wave pruning. Cost is O(len·frontier).
-func (b *Bounds) pathMinRegs(p *Problem, T float64) (int, bool) {
-	if !b.shortestPath(p) {
-		return 0, false
-	}
+func (b *Bounds) regsAlongPath(p *Problem, T float64) (int, bool) {
 	g, m := p.Grid, p.Model
 	tc := p.tech()
 	reg := tc.Register
@@ -373,8 +526,20 @@ func (b *Bounds) pathMinRegs(p *Problem, T float64) (int, bool) {
 	return done(0, false)
 }
 
-// pathMinLat computes the minimum total latency of a GALS labeling of one
-// BFS shortest path, or ok=false when the path admits none. A GALS path
+// pathMinLat returns the minimum total latency of a GALS labeling over the
+// incumbent path set, or ok=false when no path admits one. reachS and
+// reachT are the two domains' segment reaches.
+func (b *Bounds) pathMinLat(p *Problem, Ts, Tt float64, reachS, reachT int) (best float64, ok bool) {
+	b.forIncumbentPaths(p, reachS, reachT, func() {
+		if lat, lok := b.latAlongPath(p, Ts, Tt); lok && (!ok || lat < best) {
+			best, ok = lat, true
+		}
+	})
+	return best, ok
+}
+
+// latAlongPath computes the minimum total latency of a GALS labeling of
+// b.path, or ok=false when the path admits none. A GALS path
 // decomposes around its single MCFIFO: k0 relay registers on the sink side
 // (each segment closed within Tt), the FIFO, then k1 relays on the source
 // side (segments within Ts), for a total latency (k0+1)·Tt + (k1+1)·Ts —
@@ -391,16 +556,14 @@ func (b *Bounds) pathMinRegs(p *Problem, T float64) (int, bool) {
 //
 // Every labeling the DP accepts is kernel-reachable: gates only at
 // insertable interior nodes (registers and the FIFO additionally require
-// RegisterInsertable), at most one gate per node — a wave's fresh seed is
-// merged after the close and buffer blocks, so the node a register or FIFO
-// occupies is never given a second gate — and each step passes the kernel's
-// own feasibility checks. The returned latency is therefore the latency of
-// a real solution and a sound upper bound for pruneGALS. Cost is
-// O(len·frontier) per wave DP, orders of magnitude below a kernel probe.
-func (b *Bounds) pathMinLat(p *Problem, Ts, Tt float64) (float64, bool) {
-	if !b.shortestPath(p) {
-		return 0, false
-	}
+// RegisterInsertable), at most one gate per node — b.path is simple, and a
+// wave's fresh seed is merged after the close and buffer blocks, so the
+// node a register or FIFO occupies is never given a second gate — and each
+// step passes the kernel's own feasibility checks. The returned latency is
+// therefore the latency of a real solution and a sound upper bound for
+// pruneGALS. Cost is O(len·frontier) per wave DP, orders of magnitude below
+// a kernel probe.
+func (b *Bounds) latAlongPath(p *Problem, Ts, Tt float64) (float64, bool) {
 	g, m := p.Grid, p.Model
 	tc := p.tech()
 	reg, fifo := tc.Register, tc.FIFO

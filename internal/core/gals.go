@@ -33,29 +33,24 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (res *Result, err error) {
 }
 
 // galsBounds prepares the admissible-bound state for GALS: BFS distance
-// fields, per-domain segment reaches (source-side segments may start from
-// the FIFO; sink-side segments may close into it), and a latency incumbent.
-// The incumbent comes from pathMinLat — the exact GALS segment DP along one
-// BFS shortest path, which decouples the FIFO's domain coupling by solving
-// the two sides independently per FIFO site — and costs microseconds where
-// the corridor probe costs thousands of kernel configs; the probe remains
-// as a fallback for paths that admit no labeling. Probe budget exhaustion
-// just means no incumbent; only a caller-requested abort propagates.
+// fields, per-domain segment reaches (galsReaches), and a latency incumbent.
+// The incumbent comes from pathMinLat — the exact GALS segment DP along the
+// BFS shortest path and, on dies whose blocks outspan a segment, a few
+// insertion-aware paths, each solved by decoupling the FIFO's domains per
+// FIFO site — and costs microseconds where the corridor probe costs
+// thousands of kernel configs; the probe remains as a fallback for paths
+// that admit no labeling. Probe budget exhaustion just means no incumbent;
+// only a caller-requested abort propagates.
 func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Bounds, reachS, reachT int, maxLat float64, probeConfigs int, err error) {
 	sh := opts.Share
 	bd = sc.prepBoundsShared(p, sh)
-	tc := p.tech()
-	fifo := tc.FIFO
-	minR := tc.MinBufferR()
-	reachS = bd.segmentReachShared(sh, p, p.Model, Ts, int(bd.maxSrc), true, tc.Register.K, minR)
-	reachT = bd.segmentReachShared(sh, p, p.Model, Tt, int(bd.maxSrc), false,
-		math.Min(tc.Register.K, fifo.K), math.Min(minR, fifo.R))
+	reachS, reachT = bd.galsReaches(sh, p, Ts, Tt)
 	if inc, ok := sh.galsIncumbent(p, Ts, Tt); ok {
 		return bd, reachS, reachT, inc.maxLat, inc.probeConfigs, nil
 	}
 	maxLat = math.Inf(1)
 	clean := true // an injured probe's outcome must not be published
-	if lat, ok := bd.pathMinLat(p, Ts, Tt); ok {
+	if lat, ok := bd.pathMinLat(p, Ts, Tt, reachS, reachT); ok {
 		maxLat = lat + latencyEps
 	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
 		pres, perr := gals(p, Ts, Tt, probeOptions(opts, dist0), sc, bd.window(p))
@@ -74,6 +69,19 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Boun
 		sh.storeGALSIncumbent(p, Ts, Tt, incGALS{maxLat, probeConfigs})
 	}
 	return bd, reachS, reachT, maxLat, probeConfigs, nil
+}
+
+// galsReaches returns the two domains' segment reaches: source-side
+// segments (under Ts) may open at the FIFO, sink-side segments (under Tt)
+// may close into it.
+func (b *Bounds) galsReaches(sh *ShareCache, p *Problem, Ts, Tt float64) (reachS, reachT int) {
+	tc := p.tech()
+	fifo := tc.FIFO
+	minR := tc.MinBufferR()
+	reachS = b.segmentReachShared(sh, p, p.Model, Ts, int(b.maxSrc), true, tc.Register.K, minR)
+	reachT = b.segmentReachShared(sh, p, p.Model, Tt, int(b.maxSrc), false,
+		math.Min(tc.Register.K, fifo.K), math.Min(minR, fifo.R))
+	return reachS, reachT
 }
 
 func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*Result, error) {
@@ -151,6 +159,11 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 		if !opts.DisablePruning {
 			if !stores[c.Z].Insert(c) {
 				res.Stats.Pruned++
+				// Dominated on arrival, so nothing references c: no
+				// store entry, heap slot or children. Drop reclaims
+				// the slot when c is the successor just built; a Q*
+				// candidate is equally unreferenced by now.
+				sc.Arena.Drop(c)
 				return
 			}
 		}

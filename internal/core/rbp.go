@@ -67,20 +67,24 @@ type arrival struct {
 }
 
 // tryEmit applies dominance pruning against st (nil = no pruning) and
-// forwards to emit.
+// forwards to emit. c is always the arena's newest candidate, so a
+// rejected one hands its slot straight back (Arena.Drop).
 func (e *rbpEngine) tryEmit(wave int, c *candidate.Candidate, key float64, st *candidate.Store) {
 	faultpoint.Must("core.wave_push")
 	if e.win != nil && !e.win.allows(c.Node) {
 		e.res.Stats.BoundPruned++
+		e.sc.Arena.Drop(c)
 		return
 	}
 	if e.bd != nil && e.bd.pruneRBP(wave, c.Node, e.reach, e.maxWave) {
 		e.res.Stats.BoundPruned++
+		e.sc.Arena.Drop(c)
 		return
 	}
 	if st != nil && !e.opts.DisablePruning {
 		if !st.Insert(c) {
 			e.res.Stats.Pruned++
+			e.sc.Arena.Drop(c)
 			return
 		}
 	}
@@ -218,22 +222,21 @@ func RBP(p *Problem, T float64, opts Options) (res *Result, err error) {
 
 // rbpBounds prepares the admissible-bound state for an RBP-family search:
 // BFS distance fields, the per-period segment reach, and a register-count
-// incumbent — from the shortest-path DP when it finds a feasible labeling,
-// else from a windowed probe run of the kernel itself (whose scratch
+// incumbent — from the path-set DP (pathMinRegs) when it finds a feasible
+// labeling, else from a windowed probe run of the kernel itself (whose scratch
 // mutations are rewound before the exact search starts). A probe that runs
 // out of its private budget just means no incumbent; only an abort the
 // caller itself requested propagates as err.
 func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, reach, maxWave, probeConfigs int, err error) {
 	sh := opts.Share
 	bd = sc.prepBoundsShared(p, sh)
-	tc := p.tech()
-	reach = bd.segmentReachShared(sh, p, p.Model, T, int(bd.maxSrc), false, tc.Register.K, tc.MinBufferR())
+	reach = bd.rbpReach(sh, p, T)
 	if inc, ok := sh.rbpIncumbent(p, T); ok {
 		return bd, reach, inc.maxWave, inc.probeConfigs, nil
 	}
 	maxWave = noIncumbent
 	clean := true // an injured probe's outcome must not be published
-	if u, ok := bd.pathMinRegs(p, T); ok {
+	if u, ok := bd.pathMinRegs(p, T, reach); ok {
 		maxWave = u
 	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
 		pres, perr := rbp(p, T, probeOptions(opts, dist0), sc, bd.window(p))
@@ -252,6 +255,13 @@ func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, re
 		sh.storeRBPIncumbent(p, T, incRBP{maxWave, probeConfigs})
 	}
 	return bd, reach, maxWave, probeConfigs, nil
+}
+
+// rbpReach is the segment reach of an RBP segment under period T: it opens
+// at a register and closes into one.
+func (b *Bounds) rbpReach(sh *ShareCache, p *Problem, T float64) int {
+	tc := p.tech()
+	return b.segmentReachShared(sh, p, p.Model, T, int(b.maxSrc), false, tc.Register.K, tc.MinBufferR())
 }
 
 func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *window) (*Result, error) {
