@@ -1,11 +1,12 @@
 # Tier-1 gate: everything must build, vet clean, pass the full test
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), pass the full
-# bounded == unbounded kernel-equivalence sweep, and survive a short
-# fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle sweep fuzz-smoke chaos cluster-drill bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
+# bounded == unbounded kernel-equivalence sweep, build and test the
+# benchmark module, and survive a short fuzzing pass over every decoder
+# that accepts untrusted bytes.
+.PHONY: tier1 build vet lint test race shuffle sweep perfbench-test fuzz-smoke chaos cluster-drill bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
 
-tier1: build lint race shuffle sweep chaos cluster-drill fuzz-smoke
+tier1: build lint race shuffle sweep perfbench-test chaos cluster-drill fuzz-smoke
 
 build:
 	go build ./...
@@ -39,6 +40,12 @@ shuffle:
 # test pass runs a reduced stream; tier1 runs this deep sweep too.
 sweep:
 	go test -tags slowtest -count=1 -run '^TestKernelEquivalenceSweepFull$$' ./internal/core
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go build ./...` at the root never compiles it; it imports planner,
+# planwire and core, and this target catches an API change that breaks it.
+perfbench-test:
+	cd perfbench && go vet ./... && go test -count=1 ./...
 
 # Short fuzzing pass over every untrusted-input decoder: the candidate
 # store, the two service request decoders, and the canonical hash, plus

@@ -2,7 +2,8 @@ package core
 
 // PathIncumbentRBP exposes the path-DP incumbent layer of rbpBounds to the
 // external tests: the fewest registers of a feasible labeling over the
-// incumbent path set, with no ShareCache and no probe fallback.
+// incumbent path set, on private bounds (no plan-scoped ShareCache) and
+// with no probe fallback.
 func PathIncumbentRBP(p *Problem, T float64) (int, bool) {
 	bd := new(Scratch).PrepBounds(p)
 	return bd.pathMinRegs(p, T, bd.rbpReach(nil, p, T))

@@ -52,23 +52,10 @@ func fastPath(p *Problem, opts Options, sc *Scratch) (*Result, error) {
 	var rem []float64
 	threshold := math.Inf(1)
 	if !opts.DisableBounds {
-		sh := opts.Share
-		bd = sc.prepBoundsShared(p, sh)
-		if fb, ok := sh.fastBounds(p); ok {
-			if fb.ok {
-				threshold, rem = fb.threshold, fb.rem
-			}
-		} else {
-			fb := &incFast{}
-			if u, ok := bd.pathMinDelay(p); ok {
-				threshold = u + boundEps(u)
-				rem = bd.remTable(m, threshold)
-				fb.ok, fb.threshold = true, threshold
-				if sh.owns(p.Grid) {
-					fb.rem = append([]float64(nil), rem...)
-				}
-			}
-			sh.storeFastBounds(p, fb)
+		bd = sc.prepBoundsShared(p, opts.Share)
+		if u, ok := bd.pathMinDelay(p); ok {
+			threshold = u + boundEps(u)
+			rem = bd.remTable(m, threshold)
 		}
 	}
 

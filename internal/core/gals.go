@@ -45,11 +45,7 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Boun
 	sh := opts.Share
 	bd = sc.prepBoundsShared(p, sh)
 	reachS, reachT = bd.galsReaches(sh, p, Ts, Tt)
-	if inc, ok := sh.galsIncumbent(p, Ts, Tt); ok {
-		return bd, reachS, reachT, inc.maxLat, inc.probeConfigs, nil
-	}
 	maxLat = math.Inf(1)
-	clean := true // an injured probe's outcome must not be published
 	if lat, ok := bd.pathMinLat(p, Ts, Tt, reachS, reachT); ok {
 		maxLat = lat + latencyEps
 	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
@@ -61,12 +57,7 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Boun
 			probeConfigs = pres.Stats.Configs
 		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
 			return nil, 0, 0, 0, 0, perr
-		default:
-			clean = false
 		}
-	}
-	if clean {
-		sh.storeGALSIncumbent(p, Ts, Tt, incGALS{maxLat, probeConfigs})
 	}
 	return bd, reachS, reachT, maxLat, probeConfigs, nil
 }

@@ -231,11 +231,7 @@ func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, re
 	sh := opts.Share
 	bd = sc.prepBoundsShared(p, sh)
 	reach = bd.rbpReach(sh, p, T)
-	if inc, ok := sh.rbpIncumbent(p, T); ok {
-		return bd, reach, inc.maxWave, inc.probeConfigs, nil
-	}
 	maxWave = noIncumbent
-	clean := true // an injured probe's outcome must not be published
 	if u, ok := bd.pathMinRegs(p, T, reach); ok {
 		maxWave = u
 	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
@@ -247,12 +243,7 @@ func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, re
 			probeConfigs = pres.Stats.Configs
 		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
 			return nil, 0, 0, 0, perr
-		default:
-			clean = false
 		}
-	}
-	if clean {
-		sh.storeRBPIncumbent(p, T, incRBP{maxWave, probeConfigs})
 	}
 	return bd, reach, maxWave, probeConfigs, nil
 }

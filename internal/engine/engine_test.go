@@ -7,68 +7,81 @@ import (
 	"testing"
 )
 
-func TestMapPreservesIndexOrder(t *testing.T) {
-	got := Map(context.Background(), 4, 100, func(_ context.Context, i int) int {
-		return i * i
-	})
-	if len(got) != 100 {
-		t.Fatalf("len = %d", len(got))
+// The TestMap* tests exercise StreamRecover's mapping of a task channel over
+// the pool. Submission order is not part of its contract: the planner's
+// RunParallel places results by name, and internal/planner checks that.
+
+// feed returns a closed channel holding 0..n-1.
+func feed(n int) <-chan int {
+	in := make(chan int, n)
+	for i := 0; i < n; i++ {
+		in <- i
 	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
+	close(in)
+	return in
+}
+
+// never is an onPanic for tasks that must not panic.
+func never(t *testing.T) func(int, any, []byte) int {
+	return func(i int, v any, _ []byte) int {
+		t.Errorf("task %d panicked: %v", i, v)
+		return -1
 	}
 }
 
 func TestMapRunsEveryTaskExactlyOnce(t *testing.T) {
-	var calls [64]atomic.Int32
-	Map(context.Background(), 8, len(calls), func(_ context.Context, i int) struct{} {
-		calls[i].Add(1)
-		return struct{}{}
-	})
+	var calls, delivered [64]atomic.Int32
+	n := StreamRecover(context.Background(), 8, feed(len(calls)),
+		func(_ context.Context, _, i int) int {
+			calls[i].Add(1)
+			return i
+		},
+		func(i int) { delivered[i].Add(1) },
+		never(t))
+	if n != len(calls) {
+		t.Errorf("consumed %d values, want %d", n, len(calls))
+	}
 	for i := range calls {
-		if n := calls[i].Load(); n != 1 {
-			t.Errorf("task %d ran %d times", i, n)
+		if c, d := calls[i].Load(), delivered[i].Load(); c != 1 || d != 1 {
+			t.Errorf("task %d ran %d times, delivered %d times", i, c, d)
 		}
 	}
 }
 
-func TestMapIndexedReportsWorkerIDs(t *testing.T) {
-	const workers, n = 5, 200
-	type slot struct{ worker, task int }
-	got := MapIndexed(context.Background(), workers, n, func(_ context.Context, w, i int) slot {
-		return slot{worker: w, task: i}
-	})
-	if len(got) != n {
-		t.Fatalf("len = %d", len(got))
-	}
+// workerIDs runs n tasks on the pool and returns how many ran on each
+// worker id.
+func workerIDs(t *testing.T, workers, n int) map[int]int {
 	seen := map[int]int{}
-	for i, s := range got {
-		if s.task != i {
-			t.Fatalf("result %d carries task %d: index determinism lost", i, s.task)
-		}
-		if s.worker < 0 || s.worker >= workers {
-			t.Fatalf("task %d ran on worker %d, want [0,%d)", i, s.worker, workers)
-		}
-		seen[s.worker]++
-	}
+	StreamRecover(context.Background(), workers, feed(n),
+		func(_ context.Context, w, _ int) int { return w },
+		func(w int) { seen[w]++ }, // out is serialized
+		never(t))
 	total := 0
 	for _, c := range seen {
 		total += c
 	}
 	if total != n {
-		t.Errorf("worker attribution covers %d tasks, want %d", total, n)
+		t.Errorf("workers=%d: worker attribution covers %d tasks, want %d", workers, total, n)
+	}
+	return seen
+}
+
+// TestStreamReportsWorkerIDs: every task sees a worker id in [0, workers).
+func TestStreamReportsWorkerIDs(t *testing.T) {
+	const workers = 5
+	for w, c := range workerIDs(t, workers, 200) {
+		if w < 0 || w >= workers {
+			t.Errorf("%d tasks ran on worker %d, want [0,%d)", c, w, workers)
+		}
 	}
 }
 
-func TestMapIndexedSingleWorkerIsZero(t *testing.T) {
-	got := MapIndexed(context.Background(), 1, 10, func(_ context.Context, w, i int) int {
-		return w
-	})
-	for i, w := range got {
+// TestStreamSingleWorkerIsZero: a single-worker pool reports worker 0
+// throughout.
+func TestStreamSingleWorkerIsZero(t *testing.T) {
+	for w, c := range workerIDs(t, 1, 10) {
 		if w != 0 {
-			t.Errorf("task %d saw worker %d on the serial path", i, w)
+			t.Errorf("%d tasks saw worker %d on a single-worker pool", c, w)
 		}
 	}
 }
@@ -76,36 +89,41 @@ func TestMapIndexedSingleWorkerIsZero(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
-	ready := make(chan struct{})
-	Map(context.Background(), workers, 24, func(_ context.Context, i int) int {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	StreamRecover(context.Background(), workers, feed(24),
+		func(_ context.Context, _, i int) int {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
 			}
-		}
-		// Let other workers catch up so a violation would be observed.
-		select {
-		case ready <- struct{}{}:
-		default:
-		}
-		runtime.Gosched()
-		inFlight.Add(-1)
-		return i
-	})
+			// Let other workers catch up so a violation would be observed.
+			runtime.Gosched()
+			inFlight.Add(-1)
+			return i
+		},
+		func(int) {},
+		never(t))
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency %d exceeds %d workers", p, workers)
 	}
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	if got := Map(context.Background(), 4, 0, func(_ context.Context, i int) int { return i }); len(got) != 0 {
-		t.Errorf("n=0 returned %d results", len(got))
+	if n := StreamRecover(context.Background(), 4, feed(0),
+		func(_ context.Context, _, i int) int { return i },
+		func(int) { t.Error("out called on empty input") },
+		never(t)); n != 0 {
+		t.Errorf("empty input consumed %d values", n)
 	}
-	got := Map(context.Background(), 16, 1, func(_ context.Context, i int) int { return 7 })
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("n=1 got %v", got)
+	var got []int
+	n := StreamRecover(context.Background(), 16, feed(1),
+		func(_ context.Context, _, _ int) int { return 7 },
+		func(r int) { got = append(got, r) },
+		never(t))
+	if n != 1 || len(got) != 1 || got[0] != 7 {
+		t.Errorf("single input: consumed %d, delivered %v", n, got)
 	}
 }
 
@@ -121,35 +139,40 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestMapIndexedRecoverContainsPanics: panicking tasks are replaced by
+// TestStreamRecoverContainsPanics: panicking tasks are replaced by
 // onPanic's value (with the panicking stack captured) while surviving
-// tasks run untouched, in index order, on every worker count.
-func TestMapIndexedRecoverContainsPanics(t *testing.T) {
+// tasks run untouched, on every worker count.
+func TestStreamRecoverContainsPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var stacks atomic.Int64
-		got := MapIndexedRecover(context.Background(), workers, 20,
-			func(_ context.Context, _, i int) int {
+		got := map[int]int{}
+		n := StreamRecover(context.Background(), workers, feed(20),
+			func(_ context.Context, _, i int) [2]int {
 				if i%5 == 3 {
 					panic(i)
 				}
-				return i * 10
+				return [2]int{i, i * 10}
 			},
-			func(i int, v any, stack []byte) int {
+			func(r [2]int) { got[r[0]] = r[1] },
+			func(i int, v any, stack []byte) [2]int {
 				if v.(int) != i {
 					t.Errorf("onPanic got value %v for task %d", v, i)
 				}
 				if len(stack) > 0 {
 					stacks.Add(1)
 				}
-				return -1
+				return [2]int{i, -1}
 			})
+		if n != 20 || len(got) != 20 {
+			t.Fatalf("workers=%d: consumed %d, delivered %d results, want 20", workers, n, len(got))
+		}
 		for i, v := range got {
 			want := i * 10
 			if i%5 == 3 {
 				want = -1
 			}
 			if v != want {
-				t.Errorf("workers=%d: slot %d = %d, want %d", workers, i, v, want)
+				t.Errorf("workers=%d: task %d = %d, want %d", workers, i, v, want)
 			}
 		}
 		if stacks.Load() != 4 {

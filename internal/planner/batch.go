@@ -60,13 +60,9 @@ type batchState struct {
 	flights map[netKey]*netFlight
 }
 
-// newBatchState builds the reuse state for one plan over g, or returns nil
-// when the options disable sharing (a nil *batchState routes every net
-// independently, exactly the pre-sharing behavior).
+// newBatchState builds the reuse state for one plan over g, adopting the
+// options' ShareCache when the caller supplied one.
 func newBatchState(g *grid.Grid, opts core.Options) *batchState {
-	if opts.DisableSharing {
-		return nil
-	}
 	sh := opts.Share
 	if sh == nil {
 		sh = core.NewShareCache(g)
@@ -89,9 +85,6 @@ func newBatchState(g *grid.Grid, opts core.Options) *batchState {
 // can never strand followers on the channel; the flight is then simply
 // not shareable.
 func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
-	if bs == nil {
-		return compute()
-	}
 	key := specKey(spec)
 	bs.mu.Lock()
 	fl := bs.flights[key]
@@ -131,42 +124,61 @@ func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
 // or duplicate net name fails that net (there is no whole-request rewind
 // in a stream), with the duplicate check covering every name seen so far.
 //
-// Cross-net reuse (the plan-scoped ShareCache and canonical-problem
-// memoization) matches RunParallel, so a streamed plan's results are
+// RunParallel runs on this same body, so a streamed plan's results are
 // byte-identical to the same specs routed in one batch. The returned
 // stats report Workers as the pool that a buffered run of the same net
 // count would have used.
 func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetSpec, emit func(NetResult)) (PlanStats, error) {
-	opts := pl.opts
 	pool := workers
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
+	start := time.Now()
+	stats, received := pl.runPool(ctx, pool, specs, emit)
+	if received == 0 {
+		// An empty stream reports the zero stats an empty buffered batch
+		// would: no nets means no pool and no meaningful worker count.
+		return PlanStats{}, nil
+	}
+	stats.Workers = engine.Workers(workers, received)
+	stats.Elapsed = time.Since(start)
+	return stats, nil
+}
+
+// runPool is the one batch body behind RunStream and RunParallel: a pool
+// of `pool` workers (engine.StreamRecover) claims nets from specs and
+// routes each through the plan's batchState — one ShareCache for the
+// whole plan, and whole-result memoization for canonically equal specs,
+// both plan-scoped and both byte-identical to routing each net alone.
+// Every result is folded into the returned stats and handed to emit,
+// serialized, in completion order; received counts the nets consumed.
+//
+// StreamRecover's recovery boundary is the second containment line behind
+// the search wrappers' own: a panic escaping routeNet (verification,
+// telemetry, a bug in this package) fails that one net instead of
+// crashing the whole batch on a bare worker goroutine.
+func (pl *Planner) runPool(ctx context.Context, pool int, specs <-chan NetSpec, emit func(NetResult)) (stats PlanStats, received int) {
+	opts := pl.opts
 	if pool > 1 {
 		opts.Trace = core.SynchronizedTracer(opts.Trace)
 	}
 	bs := newBatchState(pl.g, opts)
-	if bs != nil {
-		opts.Share = bs.share
-	}
+	opts.Share = bs.share
 	sink := opts.Telemetry
 
 	var seenMu sync.Mutex
 	seen := make(map[string]bool)
-	start := time.Now()
-	stats := PlanStats{}
-	received := engine.StreamRecover(ctx, pool, specs,
+	received = engine.StreamRecover(ctx, pool, specs,
 		func(ctx context.Context, worker int, spec NetSpec) NetResult {
 			if err := claimName(&seenMu, seen, spec.Name); err != nil {
 				return NetResult{Spec: spec, Err: err}
 			}
-			compute := func() NetResult {
+			return bs.route(spec, func() NetResult {
 				if sink == nil {
 					return pl.routeNet(ctx, spec, opts)
 				}
 				return pl.routeNetTraced(ctx, spec, opts, worker)
-			}
-			return bs.route(spec, compute)
+			})
 		},
 		func(res NetResult) {
 			stats.add(&res) // under StreamRecover's emit mutex
@@ -179,14 +191,7 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 				Err:      fmt.Errorf("planner: net %q: %w", spec.Name, core.NewInternalError(v, stack)),
 			}
 		})
-	if received == 0 {
-		// An empty stream reports the zero stats an empty buffered batch
-		// would: no nets means no pool and no meaningful worker count.
-		return PlanStats{}, nil
-	}
-	stats.Workers = engine.Workers(workers, received)
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	return stats, received
 }
 
 // claimName registers a net name, failing on the stream-level validation

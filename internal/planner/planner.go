@@ -434,6 +434,10 @@ func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 // deadline/cancellation aborts in-flight and pending searches promptly;
 // aborted nets record an error wrapping core.ErrAborted.
 //
+// RunParallel is RunStream over a channel fed from the slice, with each
+// result placed at its spec's index: one worker pool and one batch body
+// (runPool) serve both transports.
+//
 // When the planner's Options carry a Tracer, the shared tracer is fanned
 // in through core.SynchronizedTracer so concurrent searches never race on
 // it; the merged observation interleaves nets in completion order. When
@@ -442,25 +446,12 @@ func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 // failure cause) and its searches' events are emitted labeled with the net
 // name and worker index.
 func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec) (*Plan, error) {
-	if err := validateSpecs(specs); err != nil {
+	index, err := validateSpecs(specs)
+	if err != nil {
 		return nil, err
 	}
 	workers = engine.Workers(workers, len(specs))
-	opts := pl.opts
-	if workers > 1 {
-		opts.Trace = core.SynchronizedTracer(opts.Trace)
-	}
-	// Cross-net reuse: one ShareCache for the whole plan (bound artifacts
-	// flow between nets) and whole-result memoization for canonically equal
-	// specs. Both are plan-scoped, so nothing leaks between requests, and
-	// both preserve byte-identical results; Options.DisableSharing turns
-	// them off.
-	bs := newBatchState(pl.g, opts)
-	if bs != nil {
-		opts.Share = bs.share
-	}
-	sink := opts.Telemetry
-	if sink != nil {
+	if sink := pl.opts.Telemetry; sink != nil {
 		for _, s := range specs {
 			sink.Emit(telemetry.Event{
 				Kind: telemetry.EventNetQueued, TimeNS: telemetry.Now(),
@@ -468,31 +459,19 @@ func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec
 			})
 		}
 	}
-	start := time.Now()
-	// MapIndexedRecover is the second containment line behind the search
-	// wrappers' own recovery: a panic escaping routeNet (verification,
-	// telemetry, a bug in this package) fails that one net instead of
-	// crashing the whole batch on a bare worker goroutine.
-	nets := engine.MapIndexedRecover(ctx, workers, len(specs), func(ctx context.Context, worker, i int) NetResult {
-		return bs.route(specs[i], func() NetResult {
-			if sink == nil {
-				return pl.routeNet(ctx, specs[i], opts)
-			}
-			return pl.routeNetTraced(ctx, specs[i], opts, worker)
-		})
-	}, func(i int, v any, stack []byte) NetResult {
-		return NetResult{
-			Spec:     specs[i],
-			Panicked: true,
-			Err:      fmt.Errorf("planner: net %q: %w", specs[i].Name, core.NewInternalError(v, stack)),
-		}
-	})
-	plan := &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets}
-	plan.Stats = PlanStats{Workers: workers, Elapsed: time.Since(start)}
-	for i := range nets {
-		plan.Stats.add(&nets[i])
+	in := make(chan NetSpec, len(specs))
+	for _, s := range specs {
+		in <- s
 	}
-	return plan, nil
+	close(in)
+	start := time.Now()
+	// Names are unique after validation, so each result finds its slot.
+	nets := make([]NetResult, len(specs))
+	stats, _ := pl.runPool(ctx, workers, in, func(res NetResult) {
+		nets[index[res.Spec.Name]] = res
+	})
+	stats.Workers, stats.Elapsed = workers, time.Since(start)
+	return &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets, Stats: stats}, nil
 }
 
 // routeNetTraced wraps one net's routing in a net_start/net_end span, with
@@ -530,22 +509,23 @@ func (pl *Planner) routeNetTraced(ctx context.Context, spec NetSpec, opts core.O
 	return res
 }
 
-// validateSpecs rejects structurally bad net lists before any routing runs.
-func validateSpecs(specs []NetSpec) error {
+// validateSpecs rejects structurally bad net lists before any routing runs
+// and returns each net's index by name.
+func validateSpecs(specs []NetSpec) (map[string]int, error) {
 	if len(specs) == 0 {
-		return errors.New("planner: no nets")
+		return nil, errors.New("planner: no nets")
 	}
-	seen := make(map[string]bool, len(specs))
-	for _, s := range specs {
+	index := make(map[string]int, len(specs))
+	for i, s := range specs {
 		if s.Name == "" {
-			return errors.New("planner: net with empty name")
+			return nil, errors.New("planner: net with empty name")
 		}
-		if seen[s.Name] {
-			return fmt.Errorf("planner: duplicate net name %q", s.Name)
+		if _, dup := index[s.Name]; dup {
+			return nil, fmt.Errorf("planner: duplicate net name %q", s.Name)
 		}
-		seen[s.Name] = true
+		index[s.Name] = i
 	}
-	return nil
+	return index, nil
 }
 
 // AllAborted returns a representative abort error when every net of the

@@ -67,26 +67,27 @@ func rebuiltPlanner(t *testing.T, pl *planner.Planner, opts core.Options) *plann
 	return out
 }
 
-// TestSharingOnOffByteIdentical is the tentpole's safety differential: the
-// cross-net ShareCache plus canonical-problem memoization must be invisible
-// in the results. The same duplicate-heavy workload runs with sharing on
-// (the default) and fully off, and every observable field must match.
+// TestSharingOnOffByteIdentical is the batch layer's safety differential:
+// the cross-net ShareCache plus canonical-problem memoization must be
+// invisible in the results. The duplicate-heavy workload runs as one
+// batch and, as the reference, net by net through RouteNetContext on a
+// fresh planner (no batch state at all); every observable field must
+// match.
 func TestSharingOnOffByteIdentical(t *testing.T) {
 	pl, specs := dupWorkload(t, 16, 16)
 	shared, err := pl.RunParallel(context.Background(), 8, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := rebuiltPlanner(t, pl, core.Options{DisableSharing: true}).
-		RunParallel(context.Background(), 8, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := rebuiltPlanner(t, pl, core.Options{})
+	isoConfigs := 0
 	for i := range specs {
-		sameRouting(t, specs[i].Name, &shared.Nets[i], &iso.Nets[i])
+		iso := alone.RouteNetContext(context.Background(), specs[i])
+		sameRouting(t, specs[i].Name, &shared.Nets[i], &iso)
+		isoConfigs += iso.Configs
 	}
-	if shared.Stats.TotalConfigs > iso.Stats.TotalConfigs {
-		t.Errorf("sharing increased work: %d configs vs %d", shared.Stats.TotalConfigs, iso.Stats.TotalConfigs)
+	if shared.Stats.TotalConfigs > isoConfigs {
+		t.Errorf("sharing increased work: %d configs vs %d", shared.Stats.TotalConfigs, isoConfigs)
 	}
 }
 
@@ -224,9 +225,10 @@ func runStreamByName(t *testing.T, pl *planner.Planner, specs []planner.NetSpec)
 // TestStreamChaosContainedPanicHealsAndDoesNotPoison arms core.wave_push
 // to panic once deep inside a search of a duplicate-heavy streamed plan.
 // The panic is contained at the search boundary and healed by the planner's
-// retry-once policy, and the clean-only publication rule keeps the injured
-// attempt out of both the ShareCache and the memo table: every net must
-// report the same routing as an uninjured run.
+// retry-once policy, and the memo's clean-only publication rule keeps the
+// injured attempt out of the memo table (the ShareCache's BFS fields and
+// reaches are complete before a search pushes its first candidate): every
+// net must report the same routing as an uninjured run.
 func TestStreamChaosContainedPanicHealsAndDoesNotPoison(t *testing.T) {
 	pl, specs := dupWorkload(t, 8, 24)
 	clean, err := pl.RunParallel(context.Background(), 4, specs)

@@ -32,6 +32,7 @@ import (
 	"clockroute/internal/core"
 	"clockroute/internal/faultpoint"
 	"clockroute/internal/planner"
+	"clockroute/internal/planwire"
 	"clockroute/internal/resultcache"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
@@ -718,7 +719,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		for j, i := range missIdx {
 			n := &plan.Nets[j]
-			nr := netResultOnWire(n, plan.Grid)
+			nr := planwire.NetResultOnWire(n, plan.Grid)
 			nr.ProblemHash = hashes[i].Hex()
 			results[i] = nr
 			// Fill rule: only a clean, first-attempt success may populate
@@ -729,7 +730,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 				s.fillNetResult(hashes[i], nr)
 			}
 		}
-		stats = planStatsOnWire(plan.Stats)
+		stats = planwire.PlanStatsOnWire(plan.Stats)
 		stats.NetsRouted += len(req.Nets) - len(missIdx)
 	}
 

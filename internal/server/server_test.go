@@ -17,6 +17,7 @@ import (
 	"clockroute/api"
 	"clockroute/internal/candidate"
 	"clockroute/internal/elmore"
+	"clockroute/internal/planwire"
 	"clockroute/internal/route"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
@@ -85,7 +86,7 @@ func TestRouteRoundTrip(t *testing.T) {
 	// Rebuild the path from the wire form and re-check it against the
 	// grid and period with the independent verifier.
 	spec := api.GridSpec{W: W, H: H, PitchMM: pitch}
-	g, err := buildGrid(&spec)
+	g, err := planwire.BuildGrid(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRouteRoundTrip(t *testing.T) {
 		p.Nodes[i] = pt.X + pt.Y*W
 	}
 	for i, s := range rr.Gates {
-		gt, err := ParseGate(s)
+		gt, err := planwire.ParseGate(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"clockroute/internal/core"
 	"clockroute/internal/faultpoint"
 	"clockroute/internal/planner"
+	"clockroute/internal/planwire"
 	"clockroute/internal/telemetry"
 )
 
@@ -79,7 +80,7 @@ func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 		s.testHookAdmitted()
 	}
 
-	pl, err := buildStreamPlanner(&hdr.Grid, s.cfg.Tech, s.requestSink(rec, tc, rid))
+	pl, err := planwire.NewStreamPlanner(&hdr.Grid, s.cfg.Tech, s.requestSink(rec, tc, rid))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -110,7 +111,7 @@ func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 
 	g := pl.Grid()
 	emit := func(res planner.NetResult) {
-		nr := netResultOnWire(&res, g)
+		nr := planwire.NetResultOnWire(&res, g)
 		hashMu.Lock()
 		h, hashed := hashByName[res.Spec.Name]
 		hashMu.Unlock()
@@ -202,7 +203,7 @@ decode:
 		hashByName[n.Name] = h
 		hashMu.Unlock()
 		select {
-		case specCh <- specFromNet(n):
+		case specCh <- planwire.SpecFromNet(n):
 		case <-ctx.Done():
 			// Timeout or disconnect while the window is full: stop decoding;
 			// the pool fails the already-queued nets fast and drains.
@@ -220,7 +221,7 @@ decode:
 		sw.trailerError(m, streamErr)
 		return
 	}
-	ws := planStatsOnWire(stats)
+	ws := planwire.PlanStatsOnWire(stats)
 	ws.NetsRouted += cachedHits
 	sw.writeLine(api.PlanStreamTrailer{Stats: &ws})
 }
